@@ -23,10 +23,8 @@ def entry() -> Any:
     from rayld.pipelines.kg import build_triples
     from rayld.sources.transcripts import transcripts_dataset
 
-    ds = transcripts_dataset(100)
-    # link_concurrency=None -> autoscaling (2, cluster cpus) pool: safe at
-    # any driver cpu count (a fixed pool == cpus starves the shuffle)
-    return build_triples(ds)
+    # task-map linker + P = 2 x session cpus: sized to any driver cpu count
+    return build_triples(transcripts_dataset(100))
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
@@ -48,7 +46,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def kg_triples(sf_dir: str):
         n = jsonld_ops.n_conversations_for(sf_dir)
-        return build_triples(transcripts_dataset(n))  # autoscaling linker pool
+        return build_triples(transcripts_dataset(n))
 
     def kg_documents_fromrdf(sf_dir: str):
         """Inverse pipeline (A6 at scale): triples -> one expanded JSON-LD

@@ -80,7 +80,7 @@ def run_bench() -> dict:
     from rayld.pipelines.kg import build_triples as _bt
     from rayld.sources.transcripts import transcripts_dataset as _td
 
-    _bt(_td(200), link_concurrency=(2, NUM_CPUS)).count()
+    _bt(_td(200)).count()
 
     timings: dict = {}
     extras: dict = {}
@@ -95,9 +95,7 @@ def run_bench() -> dict:
     n_conv = kg_conversations_for_bench(SF_DIR)
     n_triples = timed(
         "kg_triples",
-        lambda: build_triples(
-            transcripts_dataset(n_conv), link_concurrency=(2, NUM_CPUS)
-        ).count(),
+        lambda: build_triples(transcripts_dataset(n_conv)).count(),
     )
     extras["kg_conversations"] = n_conv
     # the effective workload multiplier, so every recorded number carries

@@ -4,24 +4,22 @@ triples, as a streaming Ray Data pipeline.
 Stage layout (SURVEY.md §3.1 "engine shape" / §7 M1-M4):
 
   read/generate transcripts                (streamed blocks, Arrow)
-    -> MentionLinker actor pool            (stateful: broadcast gazetteer,
-                                            regex compiled once per actor)
-    -> expand_turns map_batches            (stateless per-turn: build JSON-LD
-                                            doc, expand against the cached
-                                            context; embarrassingly parallel —
-                                            this is the salted/per-row path, so
-                                            long conversations cause NO skew
-                                            here)
-    -> groupby(conv_id).map_groups         (the ONE conv_id shuffle: sort by
-                                            turn_idx, node map with a fresh
-                                            per-conversation bnode counter,
-                                            toRDF, per-conversation c14n)
+    -> linker task map                     (broadcast gazetteer; the token
+                                            index is memoised once per worker
+                                            process, no actor pool)
+    -> repartition(P) + groupby(part)      (the ONE conv_id exchange: raw
+                                            turn rows, P = 2 x session CPUs)
+    -> map_groups, inside each partition   (build + expand every turn doc,
+                                            sort by turn_idx, node map with a
+                                            fresh per-conversation bnode
+                                            counter, toRDF, per-conversation
+                                            c14n)
     -> partitioned Parquet sink            (hash(conv_id) buckets + per-bucket
                                             manifests -> checkpoint/resume)
 
-Only the compact expanded-JSON rows cross the shuffle, never raw state. Group
-size is bounded by the transcript generator's max_turns cap; at 100 TB the
-shuffle key stays conv_id with per-bucket output so a failed run resumes by
+Raw turn rows cross the exchange, not expanded JSON-LD, which is ~2x larger.
+Group size is bounded by the per-conversation turn cap; at 100 TB the
+exchange key stays conv_id with per-bucket output so a failed run resumes by
 skipping completed buckets (manifest anti-join at the read).
 """
 
@@ -44,7 +42,6 @@ from ..stages.docs import (
     expand_turn_doc,
     expanded_to_canonical_triples,
 )
-from ..stages.linker import MentionLinker
 from ..state.gazetteer import build_gazetteer
 
 TRIPLES_SCHEMA = pa.schema(
@@ -173,27 +170,23 @@ def _conv_rows_to_triples(conv_id: str, turn_idxs: list, expanded: list,
     return pa.Table.from_pydict(cols, schema=TRIPLES_SCHEMA)
 
 
-def conv_partition_to_triples(part: pd.DataFrame,
+def conv_partition_to_triples(part: pa.Table,
                               max_turns: int | None = None) -> pa.Table:
     """Process ONE hash partition holding MANY conversations inside the task
     (the bucketed variant of the conv_id shuffle — thousands of per-conv Ray
-    groups would otherwise dominate wall time). Grouping is one numpy
-    lexsort + run-length slicing over plain lists: building a pandas
-    sub-frame per conversation measured ~20% of the whole stage."""
-    if not len(part):
-        return pa.Table.from_pydict(
-            {f.name: [] for f in TRIPLES_SCHEMA}, schema=TRIPLES_SCHEMA
-        )
+    groups would otherwise dominate wall time). ``part`` is expand_turns
+    output. Grouping is one numpy lexsort + run-length slicing over plain
+    lists: building a pandas sub-frame per conversation measured ~20% of the
+    whole stage."""
+    if not part.num_rows:
+        return TRIPLES_SCHEMA.empty_table()
     conv = part["conv_id"].to_numpy()
     turn = part["turn_idx"].to_numpy()
     order = np.lexsort((turn, conv))
     conv_l = conv[order].tolist()
-    turn_l = [int(t) for t in turn[order]]
+    turn_l = turn[order].tolist()
     expanded_l = part["expanded"].to_numpy()[order].tolist()
-    if "error" in part.columns:
-        err_l = part["error"].to_numpy()[order].tolist()
-    else:
-        err_l = [""] * len(conv_l)
+    err_l = part["error"].to_numpy()[order].tolist()
     tables = []
     n = len(conv_l)
     start = 0
@@ -213,101 +206,50 @@ def conv_partition_to_triples(part: pd.DataFrame,
 # Pipeline assembly
 # ---------------------------------------------------------------------------
 
-def build_triples(transcripts_ds, gazetteer=None, link_concurrency=None,
-                  num_partitions: int | None = None,
-                  late_expand: bool = False,
-                  link_tasks: bool = False,
+def build_triples(transcripts_ds, gazetteer=None,
                   max_turns: int | None = None):
     """transcripts Dataset -> triples Dataset (lazy; nothing materializes).
 
-    The conv_id shuffle is bucketed: rows get a ``part = hash(conv_id) % P``
-    column and the groupby runs on ``part`` with an in-task pandas groupby
-    over conv_id — P ≈ 2x total cores keeps every core busy without paying
-    Ray per-group overhead for millions of small conversations.
-    ``num_partitions=None`` derives P from the CLUSTER's CPU count (min 64),
-    so the same code scales the shuffle on a 256-node cluster without a
-    hand-set knob.
+    The conv_id exchange is bucketed: rows get a ``part = hash(conv_id) % P``
+    column and the groupby runs on ``part``, with the per-conversation work
+    done inside the partition task. P = 2 x the session's CPUs
+    (``cluster_partitions``): every core stays busy without paying Ray
+    per-group overhead for millions of small conversations, and the same
+    code sizes the exchange on a 1-CPU session and a 256-node cluster.
 
-    ``late_expand`` picks WHICH rows cross the conv_id shuffle (identical
-    output either way — pinned by test):
-    - False (default): expansion runs pre-shuffle in the map stage, fully
-      overlapped with the linker pool and the shuffle — fastest when the
-      shuffle payload fits comfortably (measured best at bench scale);
-    - True: the shuffle moves RAW turn rows (text + entities, ~3-5x smaller
-      than expanded JSON-LD) and expansion runs inside the partition task —
-      the 100-TB configuration, where all-to-all bytes are the dominant
-      cost (measured +22% at 5x bench size on one node, and the advantage
-      grows with data volume)."""
-    import ray
+    Raw turn rows (text + linked entities) cross the exchange and the turn
+    docs are built and expanded inside the partition task: expanded JSON-LD
+    is ~2x the bytes of the raw row, and the bytes an exchange moves are its
+    cost."""
+    from ..stages.linker import linker_task_fn
+    from .common import cluster_partitions
 
-    if num_partitions is None:
-        num_partitions = max(
-            64, 2 * int(ray.cluster_resources().get("CPU", 8))
-        )
+    num_partitions = cluster_partitions(minimum=1)
     if gazetteer is None:
         gazetteer = build_gazetteer()
-    gazetteer_ref = ray.put(gazetteer)
-    if link_concurrency is None:
-        # autoscaling pool up to the cluster CPU count: the pool grows under
-        # load and releases idle actors, so it never pins cores the
-        # downstream stages need (a fixed small pool serializes the fused
-        # generate+link work; a fixed full-size pool starves the shuffle)
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        link_concurrency = (2, max(2, ncpu))
-    # batch_size=None everywhere: the block structure (set at the source)
-    # drives task granularity; re-bundling into big batches collapses
-    # parallelism on small inputs
-    if link_tasks:
-        # task-map linker: per-process memoized state, no actor spawn
-        # (A/B'd against the pool in BASELINE.md round-3 log)
-        from ..stages.linker import linker_task_fn
-
-        ds = transcripts_ds.map_batches(
-            linker_task_fn(gazetteer_ref),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-    else:
-        ds = transcripts_ds.map_batches(
-            MentionLinker,
-            batch_format="pyarrow",
-            batch_size=None,
-            concurrency=link_concurrency,
-            num_cpus=1,
-            fn_constructor_kwargs={"gazetteer_ref": gazetteer_ref},
-        )
-    if not late_expand:
-        ds = ds.map_batches(
-            expand_turns, batch_format="pyarrow", batch_size=None
-        )
 
     def add_part(batch: pa.Table) -> pa.Table:
         parts = crc32_buckets(batch["conv_id"].to_pylist(), num_partitions)
         return batch.append_column("part", pa.array(parts, pa.int32()))
 
-    ds = ds.map_batches(add_part, batch_format="pyarrow", batch_size=None)
+    def expand_and_convert(group: pa.Table) -> pa.Table:
+        return conv_partition_to_triples(expand_turns(group), max_turns)
+
+    # batch_size=None everywhere: the block structure (set at the source)
+    # drives task granularity; re-bundling into big batches collapses
+    # parallelism on small inputs
+    ds = transcripts_ds.map_batches(
+        linker_task_fn(gazetteer),
+        batch_format="pyarrow",
+        batch_size=None,
+    ).map_batches(add_part, batch_format="pyarrow", batch_size=None)
     # consolidate the map-fed blocks to P before the range-partitioned sort:
     # feeding hundreds of small blocks straight into the sort measured ~1.8x
     # SLOWER than repartition+sort (A/B at 32 cpus: 143k vs 258k t/s), and
     # the repartition also guarantees enough blocks when upstream collapsed
-    # to few. (num_blocks() raises on lazy datasets, so a conditional skip
-    # is not even possible without materializing.)
-    ds = ds.repartition(num_partitions)
-    if late_expand:
-        def expand_and_conv(group: pa.Table) -> pa.Table:
-            return conv_partition_to_triples(
-                expand_turns(group).to_pandas(), max_turns=max_turns
-            )
-
-        return ds.groupby("part").map_groups(
-            expand_and_conv, batch_format="pyarrow"
-        )
-
-    def conv_to_triples(part: pd.DataFrame) -> pa.Table:
-        return conv_partition_to_triples(part, max_turns=max_turns)
-
-    return ds.groupby("part").map_groups(
-        conv_to_triples, batch_format="pandas"
+    # to few
+    return ds.repartition(num_partitions).groupby("part").map_groups(
+        expand_and_convert, batch_format="pyarrow"
     )
 
 
@@ -444,21 +386,40 @@ def _manifest_path(out_dir: str, bucket: int) -> str:
     return os.path.join(out_dir, f"bucket={bucket}", "_manifest.json")
 
 
+def _read_manifest(out_dir: str, bucket: int) -> dict | None:
+    """The bucket's manifest, or None when it is missing or unreadable (a
+    crash or a partial copy of the output can leave a truncated file)."""
+    try:
+        with open(_manifest_path(out_dir, bucket)) as f:
+            return json.load(f)
+    except (OSError, ValueError):
+        return None
+
+
+def _write_manifest(out_dir: str, bucket: int, manifest: dict) -> None:
+    """Write tmp + os.replace: a reader sees the old state or the whole new
+    manifest, never a partial one."""
+    path = _manifest_path(out_dir, bucket)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as f:
+        json.dump(manifest, f)
+    os.replace(tmp, path)
+
+
 def completed_buckets(out_dir: str, num_buckets: int) -> set:
-    done = set()
-    for b in range(num_buckets):
-        if os.path.exists(_manifest_path(out_dir, b)):
-            done.add(b)
-    return done
+    return {
+        b for b in range(num_buckets)
+        if _read_manifest(out_dir, b) is not None
+    }
 
 
 def run_kg_pipeline(transcripts_ds, out_dir: str, num_buckets: int = 16,
-                    gazetteer=None, link_concurrency=None,
-                    resume: bool = True,
+                    gazetteer=None, resume: bool = True,
                     max_turns: int | None = None) -> dict:
     """Run the full pipeline with bucketed output + per-bucket lineage
     manifests. A re-run skips buckets whose manifest already exists (pruned at
-    the read by a vectorized hash filter), and re-writes partial buckets.
+    the read by a vectorized hash filter), and re-writes partial buckets
+    and buckets whose manifest is unreadable.
 
     Returns {"triples": total_rows_written, "buckets_skipped": n}.
     """
@@ -466,13 +427,18 @@ def run_kg_pipeline(transcripts_ds, out_dir: str, num_buckets: int = 16,
     import pyarrow.parquet as pq
 
     os.makedirs(out_dir, exist_ok=True)
-    done = completed_buckets(out_dir, num_buckets) if resume else set()
+    # bucket -> its manifest, for every bucket a previous run completed
+    done = {
+        b: m for b in range(num_buckets)
+        if resume and (m := _read_manifest(out_dir, b)) is not None
+    }
+    done_ids = np.fromiter(done, dtype=np.int32)
 
     def add_bucket_and_filter(batch: pa.Table) -> pa.Table:
         buckets = crc32_buckets(batch["conv_id"].to_pylist(), num_buckets)
         batch = batch.append_column("bucket", pa.array(buckets, pa.int32()))
-        if done:
-            mask = np.isin(buckets, np.fromiter(done, dtype=np.int32), invert=True)
+        if len(done_ids):
+            mask = np.isin(buckets, done_ids, invert=True)
             batch = batch.filter(pa.array(mask))
         return batch
 
@@ -489,7 +455,7 @@ def run_kg_pipeline(transcripts_ds, out_dir: str, num_buckets: int = 16,
 
     triples = build_triples(
         filtered.drop_columns(["bucket"]), gazetteer=gazetteer,
-        link_concurrency=link_concurrency, max_turns=max_turns,
+        max_turns=max_turns,
     )
 
     def re_bucket(batch: pa.Table) -> pa.Table:
@@ -504,9 +470,7 @@ def run_kg_pipeline(transcripts_ds, out_dir: str, num_buckets: int = 16,
     for b in range(num_buckets):
         bdir = os.path.join(out_dir, f"bucket={b}")
         if b in done:
-            mp = _manifest_path(out_dir, b)
-            with open(mp) as f:
-                total += json.load(f)["rows"]
+            total += done[b]["rows"]
             continue
         rows = 0
         n_errors = 0
@@ -534,13 +498,11 @@ def run_kg_pipeline(transcripts_ds, out_dir: str, num_buckets: int = 16,
                 files.append(fn)
         else:
             os.makedirs(bdir, exist_ok=True)
-        with open(_manifest_path(out_dir, b), "w") as f:
-            json.dump(
-                {"bucket": b, "rows": rows, "files": files,
-                 "content_hash": content_hash, "num_buckets": num_buckets,
-                 "n_errors": n_errors, "n_conversations": len(conv_set)},
-                f,
-            )
+        _write_manifest(out_dir, b, {
+            "bucket": b, "rows": rows, "files": files,
+            "content_hash": content_hash, "num_buckets": num_buckets,
+            "n_errors": n_errors, "n_conversations": len(conv_set),
+        })
         total += rows
     return {"triples": total, "buckets_skipped": len(done)}
 
@@ -669,7 +631,7 @@ _QUAD_COLS = (
 )
 
 
-def kg_parity_check(n_conversations: int = 50, link_concurrency=None):
+def kg_parity_check(n_conversations: int = 50):
     """Flagship parity gate: the DISTRIBUTED triples pipeline must equal the
     single-process kernel run on the same conversations — P/R = 1.0 on
     canonicalized quads (the test_kg_pipeline oracle, surfaced as a driver
@@ -712,9 +674,7 @@ def kg_parity_check(n_conversations: int = 50, link_concurrency=None):
         for i in range(len(cols["subj"])):
             oracle.add(tuple(cols[k][i] for k in _QUAD_COLS))
 
-    out = build_triples(
-        transcripts_dataset(n_conversations), link_concurrency=link_concurrency
-    )
+    out = build_triples(transcripts_dataset(n_conversations))
     got = set()
     for batch in out.iter_batches(batch_size=10_000, batch_format="pyarrow"):
         d = batch.to_pydict()

@@ -5891,15 +5891,26 @@ def q7_volume_shipping(sf_dir: str, nation_a: str = "NATION_1",
         schema=cell_sch,
     )
 
-    def name(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
+    out_sch = pa.schema([
+        ("supp_nation", pa.string()), ("cust_nation", pa.string()),
+        ("l_year", pa.int64()), ("revenue_c", pa.int64()),
+    ])
+
+    def name(df: pd.DataFrame) -> pa.Table:
+        return pa.table({
             "supp_nation": df["s_nat"].map(nat_names).astype(str),
             "cust_nation": df["c_nat"].map(nat_names).astype(str),
             "l_year": df["l_year"].astype("int64"),
             "revenue_c": df["revenue_c"].astype("int64"),
-        })
+        }, schema=out_sch)
 
-    return combined.map_batches(name, batch_format="pandas")
+    # map_batches skips the schema-less empty blocks the exchanges emit, so
+    # an empty result (zero-row tables, or sf0.001 where no lineitem ships
+    # between the two nations) would have no schema: a leading typed empty
+    # block gives Dataset.schema() the declared one
+    return rd.from_arrow(out_sch.empty_table()).union(
+        combined.map_batches(name, batch_format="pandas")
+    )
 
 
 def q10_returned_items(sf_dir: str, date_from: str = "1996-01-01",

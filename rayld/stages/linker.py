@@ -1,9 +1,9 @@
-"""Entity-linking actor stage: mention detection against a broadcast gazetteer.
+"""Entity-linking stage: mention detection against a broadcast gazetteer.
 
-Ray pattern (SURVEY.md M3): a callable CLASS for ``map_batches`` — the
-gazetteer arrives as a ``ray.put`` object ref (broadcast once, not re-shipped
-per batch) and the token index is built ONCE per actor in ``__init__``;
-``__call__`` does per-batch work only.
+Ray pattern: a plain task map (``linker_task_fn``) — the gazetteer arrives as
+a ``ray.put`` object ref (broadcast once, not re-shipped per batch) and the
+token index is built ONCE per worker process and memoised; each task does
+per-batch work only.
 
 Matching is a leftmost-longest token-index scan (first token -> candidate
 phrases, longest first). Unlike a single alternation regex this scales to
@@ -35,11 +35,11 @@ def build_token_index(surfaces: dict) -> dict:
 
 
 class MentionLinker:
-    """map_batches(MentionLinker, concurrency=(min,max), fn_constructor_kwargs=
-    {"gazetteer_ref": ray.put(build_gazetteer())}).
-
-    Adds an ``entities`` column: JSON array of linked entity IRIs, in order of
-    first appearance, deduplicated."""
+    """The linker state for one gazetteer: ``MentionLinker(gazetteer=rows)``
+    or ``MentionLinker(gazetteer_ref=ray.put(rows))``. ``link_text`` links
+    one string; calling it on an Arrow batch adds an ``entities`` column:
+    JSON array of linked entity IRIs, in order of first appearance,
+    deduplicated."""
 
     def __init__(self, gazetteer_ref=None, gazetteer=None):
         if gazetteer is None:
@@ -84,33 +84,32 @@ class MentionLinker:
         return batch.append_column("entities", pa.array(entities, pa.string()))
 
 
-def compile_matcher(surfaces: list[str]) -> re.Pattern:
-    """Legacy regex-alternation matcher (kept for comparison tests)."""
-    ordered = sorted(surfaces, key=len, reverse=True)
-    pattern = r"\b(?:" + "|".join(re.escape(s) for s in ordered) + r")\b"
-    return re.compile(pattern)
-
-
-# task-map variant: the linker's state (dict + token index over ~1k
-# surfaces) builds in milliseconds, so a plain task map with a per-process
-# memo gets the same once-per-worker amortization as an actor pool WITHOUT
-# the per-execution actor-spawn cost (the minhash signature finding; see
-# BASELINE.md round-3 log). The memo keys on the broadcast ref so different
-# gazetteers coexist.
+# task-map linker: the state (dict + token index over ~1k surfaces) builds
+# in milliseconds, so a plain task map with a per-process memo gets the same
+# once-per-worker amortization as an actor pool WITHOUT the actor-spawn cost
+# (an autoscaling pool measured a ~8 s stall per job in 1-2 CPU sessions).
+# The memo keys on the gazetteer's CONTENT, not on its object ref: every job
+# puts a fresh ref, and a ref key would add one linker per job to every
+# worker.
 _LINKER_MEMO: dict = {}
 
 
-def linker_task_fn(gazetteer_ref):
-    """Returns a map_batches FUNCTION equivalent to the MentionLinker actor:
-    the linker builds once per (worker process, gazetteer) and is reused by
-    every task the worker runs."""
+def linker_task_fn(gazetteer: list):
+    """Returns a map_batches FUNCTION that adds the ``entities`` column: the
+    linker builds once per (worker process, gazetteer content) and is reused
+    by every task the worker runs."""
+    import hashlib
 
-    def fn(batch: pa.Table) -> pa.Table:
-        key = gazetteer_ref.hex()
+    import ray
+
+    key = hashlib.sha1(repr(gazetteer).encode()).hexdigest()
+    gazetteer_ref = ray.put(gazetteer)
+
+    def link_mentions(batch: pa.Table) -> pa.Table:
         linker = _LINKER_MEMO.get(key)
         if linker is None:
             linker = MentionLinker(gazetteer_ref=gazetteer_ref)
             _LINKER_MEMO[key] = linker
         return linker(batch)
 
-    return fn
+    return link_mentions

@@ -17,9 +17,9 @@ from rayld.state.gazetteer import build_gazetteer
 N_CONV = 30
 
 
-def _oracle_triples() -> set:
+def _oracle_triples(n_conversations: int = N_CONV) -> set:
     """Single-process kernel run over the same synthetic conversations."""
-    tbl = transcripts_table(N_CONV)
+    tbl = transcripts_table(n_conversations)
     linker = MentionLinker(gazetteer=build_gazetteer())
     convs: dict = {}
     for r in tbl.to_pylist():
@@ -50,7 +50,7 @@ def _pipeline_triples(ray_session) -> set:
     from rayld.pipelines.kg import build_triples
 
     ds = transcripts_dataset(N_CONV)
-    out = build_triples(ds, link_concurrency=2)
+    out = build_triples(ds)
     triples = set()
     for batch in out.iter_batches(batch_size=10_000, batch_format="pyarrow"):
         d = batch.to_pydict()
@@ -90,6 +90,23 @@ def test_per_turn_text_equality_invariant():
         assert json.loads(orow["expanded"]) == expand_turn_doc(doc)
 
 
+def test_linker_memo_keyed_on_gazetteer_content(ray_session):
+    """Every build_triples call puts a fresh gazetteer ref; the per-process
+    linker memo keys on the gazetteer's content, so repeated jobs reuse one
+    linker instead of adding one per job."""
+    from rayld.stages import linker as lk
+
+    tbl = transcripts_table(3)
+    lk._LINKER_MEMO.clear()
+    outs = [lk.linker_task_fn(build_gazetteer())(tbl) for _ in range(3)]
+    assert len(lk._LINKER_MEMO) == 1
+    assert outs[0].equals(outs[2])
+    assert outs[0]["entities"].to_pylist() == [
+        json.dumps(MentionLinker(gazetteer=build_gazetteer()).link_text(t))
+        for t in tbl["text"].to_pylist()
+    ]
+
+
 def test_pipeline_matches_kernel_oracle(ray_session):
     """Distributed triples == single-process reference-kernel triples
     (P/R = 1.0 on canonicalized quads)."""
@@ -109,7 +126,7 @@ def test_pipeline_resume(ray_session, tmp_path):
 
     out_dir = str(tmp_path / "triples")
     ds = transcripts_dataset(N_CONV)
-    stats = run_kg_pipeline(ds, out_dir, num_buckets=4, link_concurrency=2)
+    stats = run_kg_pipeline(ds, out_dir, num_buckets=4)
     assert stats["buckets_skipped"] == 0
     assert stats["triples"] > 0
     first_total = stats["triples"]
@@ -117,9 +134,32 @@ def test_pipeline_resume(ray_session, tmp_path):
     # simulate a crashed bucket: drop its manifest + files
     shutil.rmtree(str(tmp_path / "triples" / "bucket=2"))
     ds2 = transcripts_dataset(N_CONV)
-    stats2 = run_kg_pipeline(ds2, out_dir, num_buckets=4, link_concurrency=2)
+    stats2 = run_kg_pipeline(ds2, out_dir, num_buckets=4)
     assert stats2["buckets_skipped"] == 3
     assert stats2["triples"] == first_total
+
+
+def test_truncated_manifest_bucket_redone(ray_session, tmp_path):
+    """A manifest cut to 0 bytes by a crash marks its bucket as not done:
+    the resume redoes that bucket instead of failing in json.load, and the
+    totals and manifests equal the uninterrupted write."""
+    from rayld.pipelines.kg import completed_buckets, run_kg_pipeline
+
+    out_dir = tmp_path / "triples"
+    full = run_kg_pipeline(transcripts_dataset(N_CONV), str(out_dir),
+                           num_buckets=4)
+    manifest = out_dir / "bucket=1" / "_manifest.json"
+    want = json.loads(manifest.read_text())
+    manifest.write_bytes(b"")
+    assert completed_buckets(str(out_dir), 4) == {0, 2, 3}
+    again = run_kg_pipeline(transcripts_dataset(N_CONV), str(out_dir),
+                            num_buckets=4)
+    assert again == {"triples": full["triples"], "buckets_skipped": 3}
+    got = json.loads(manifest.read_text())
+    assert {k: got[k] for k in ("rows", "n_errors", "n_conversations")} == {
+        k: want[k] for k in ("rows", "n_errors", "n_conversations")
+    }
+    assert not list(out_dir.rglob("*.tmp.*"))
 
 
 def test_canonical_nquads_export(ray_session, tmp_path):
@@ -128,7 +168,7 @@ def test_canonical_nquads_export(ray_session, tmp_path):
     from rayld.pipelines.kg import build_triples, export_canonical_nquads
     from rayld.sources.transcripts import transcripts_dataset
 
-    ds = build_triples(transcripts_dataset(10), link_concurrency=2)
+    ds = build_triples(transcripts_dataset(10))
     out = str(tmp_path / "out.nq")
     n = export_canonical_nquads(ds, out)
     text = open(out).read()
@@ -154,7 +194,7 @@ def test_sharded_nquads_matches_single_file(ray_session, tmp_path):
     from rayld.sources.transcripts import transcripts_dataset
 
     ds = build_triples(
-        transcripts_dataset(40, conversations_per_block=4), link_concurrency=2
+        transcripts_dataset(40, conversations_per_block=4)
     )
     single = str(tmp_path / "single.nq")
     n = export_canonical_nquads(ds, single)
@@ -170,33 +210,50 @@ def test_sharded_nquads_matches_single_file(ray_session, tmp_path):
     assert int(m["n_lines"].sum()) == n
 
 
-def test_late_expand_identical_triples(ray_session):
-    """late_expand=True (raw turns cross the shuffle, expansion inside the
-    partition task — the 100-TB configuration) produces value-identical
-    triples to the default early-expand path."""
-    from rayld.pipelines.kg import build_triples
-    from rayld.sources.transcripts import transcripts_dataset
+_ONE_CPU_SCRIPT = """
+import json, sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from ray._private.state import actors
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from rayld.pipelines.kg import build_triples
+from rayld.sources.transcripts import transcripts_dataset
+out = build_triples(transcripts_dataset(int(sys.argv[1])))
+rows = []
+for b in out.iter_batches(batch_size=None, batch_format="pyarrow"):
+    rows.extend(map(list, zip(*b.to_pydict().values())))
+names = sorted({a["ActorClassName"] for a in actors().values()})
+print(json.dumps({"rows": rows, "actors": names}))
+ray.shutdown()
+"""
 
-    early = build_triples(transcripts_dataset(30), link_concurrency=2)
-    late = build_triples(
-        transcripts_dataset(30), link_concurrency=2, late_expand=True
+
+def test_one_cpu_session_matches_oracle():
+    """A 1-CPU Ray session runs the flagship end to end and equals the
+    kernel oracle. The linker is a task map, so no map-worker actor is
+    started: the old autoscaling linker pool needed >= 2 actors and stalled
+    every 1-2 CPU job, and this pins that it is gone rather than avoided by
+    a bigger session."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    n = 20
+    root = str(Path(__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_CPU_SCRIPT, str(n)], env=env, cwd=root,
+        capture_output=True, text=True, timeout=300,
     )
-
-    def key_set(ds):
-        out = set()
-        for b in ds.iter_batches(batch_size=10_000, batch_format="pyarrow"):
-            d = b.to_pydict()
-            for i in range(b.num_rows):
-                out.add(tuple(d[k][i] for k in b.column_names))
-        return out
-
-    a, b = key_set(early), key_set(late)
-    assert a == b and len(a) > 1000
-
-    # the task-map linker (per-process memoized state, no actor pool) is
-    # also value-identical — it's the same MentionLinker behind a memo
-    tasks = build_triples(transcripts_dataset(30), link_tasks=True)
-    assert key_set(tasks) == a
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert not [a for a in res["actors"] if "MapWorker" in a], res["actors"]
+    got = {tuple(r) for r in res["rows"]}
+    assert len(got) == len(res["rows"]) > 100
+    assert got == _oracle_triples(n)
 
 
 def test_pipeline_from_parquet_input(ray_session, tmp_path):
@@ -212,8 +269,8 @@ def test_pipeline_from_parquet_input(ray_session, tmp_path):
 
     pdir = str(tmp_path / "transcripts")
     write_transcripts_parquet(pdir, 20)
-    via_parquet = build_triples(read_transcripts(pdir), link_concurrency=2)
-    via_gen = build_triples(transcripts_dataset(20), link_concurrency=2)
+    via_parquet = build_triples(read_transcripts(pdir))
+    via_gen = build_triples(transcripts_dataset(20))
 
     def key_set(ds):
         out = set()
@@ -248,7 +305,7 @@ def test_error_quarantine(ray_session, tmp_path):
             "ts": pa.array([1, 2, 3], pa.timestamp("us")),
         }
     )
-    out = build_triples(rd.from_arrow(tbl), link_concurrency=2).to_pandas()
+    out = build_triples(rd.from_arrow(tbl)).to_pandas()
     errs = out[out["graph"] == "@error"]
     assert len(errs) == 1
     assert errs.iloc[0]["subj"].endswith("/turn/1")
@@ -257,7 +314,7 @@ def test_error_quarantine(ray_session, tmp_path):
     assert (out["graph"] != "@error").sum() > 5
     # manifests carry the error count
     odir = str(tmp_path / "q")
-    run_kg_pipeline(rd.from_arrow(tbl), odir, num_buckets=2, link_concurrency=2)
+    run_kg_pipeline(rd.from_arrow(tbl), odir, num_buckets=2)
     total_errors = 0
     for b in range(2):
         m = _json.load(open(f"{odir}/bucket={b}/_manifest.json"))
@@ -296,7 +353,7 @@ def test_long_conversation_turn_cap(ray_session, tmp_path):
         })
 
     out = build_triples(
-        rd.from_arrow(conv_table(n)), link_concurrency=2, max_turns=cap
+        rd.from_arrow(conv_table(n)), max_turns=cap
     ).to_pandas()
     errs = out[out["graph"] == "@error"].sort_values("subj")
     assert len(errs) == n - cap
@@ -306,7 +363,7 @@ def test_long_conversation_turn_cap(ray_session, tmp_path):
 
     # capped prefix triples == an uncapped run over just the prefix
     want = build_triples(
-        rd.from_arrow(conv_table(cap)), link_concurrency=2
+        rd.from_arrow(conv_table(cap))
     ).to_pandas()
     cols = list(want.columns)
     got_core = (out[out["graph"] != "@error"][cols]
@@ -317,7 +374,7 @@ def test_long_conversation_turn_cap(ray_session, tmp_path):
     # manifests count the quarantined turns
     odir = str(tmp_path / "cap")
     run_kg_pipeline(rd.from_arrow(conv_table(n)), odir, num_buckets=2,
-                    link_concurrency=2, max_turns=cap)
+                    max_turns=cap)
     total_errors = sum(
         _json.load(open(f"{odir}/bucket={b}/_manifest.json"))["n_errors"]
         for b in range(2)
@@ -345,12 +402,12 @@ def test_unicode_content_end_to_end(ray_session, tmp_path):
             "ts": pa.array([1, 2, 3, 4], pa.timestamp("us")),
         }
     )
-    out = build_triples(rd.from_arrow(tbl), link_concurrency=2)
+    out = build_triples(rd.from_arrow(tbl))
     df = out.to_pandas()
     text_triples = df[df["pred"] == "http://schema.org/text"]
     assert sorted(text_triples["obj_value"]) == sorted(texts)
     # sorted .nq export round-trips every value
-    ds2 = build_triples(rd.from_arrow(tbl), link_concurrency=2)
+    ds2 = build_triples(rd.from_arrow(tbl))
     path = str(tmp_path / "u.nq")
     export_canonical_nquads(ds2, path)
     parsed = parse_nquads(open(path, encoding="utf-8").read())
@@ -375,10 +432,10 @@ def test_inverse_pipeline_roundtrip(ray_session):
     from rayld.kernel.nquads import to_nquads
     from rayld.pipelines.kg import build_triples, triples_to_documents
 
-    triples = build_triples(transcripts_dataset(12), link_concurrency=2)
+    triples = build_triples(transcripts_dataset(12))
     rows = triples.to_pandas()
     docs = triples_to_documents(
-        build_triples(transcripts_dataset(12), link_concurrency=2)
+        build_triples(transcripts_dataset(12))
     ).to_pandas()
     assert set(docs["conv_id"]) == set(rows["conv_id"])
     for conv_id, doc_json in zip(docs["conv_id"], docs["document"]):
@@ -405,7 +462,7 @@ def test_export_turtle_distributed(ray_session, tmp_path):
 
     out = tmp_path / "ttl"
     manifest = export_turtle(
-        build_triples(transcripts_dataset(30), link_concurrency=2),
+        build_triples(transcripts_dataset(30)),
         str(out), num_buckets=4,
     ).to_pandas()
     assert len(manifest) >= 1
@@ -473,7 +530,7 @@ def test_skewed_corpus_hub_quarantine(ray_session, tmp_path):
     odir = str(tmp_path / "skew")
     cap = 100
     run_kg_pipeline(rd.from_pandas(skewed), odir, num_buckets=2,
-                    link_concurrency=2, max_turns=cap)
+                    max_turns=cap)
     n_err = 0
     for b in range(2):
         with open(f"{odir}/bucket={b}/_manifest.json") as f:

@@ -826,7 +826,7 @@ def test_jsonld_normalize_fixpoint(ray_session):
 def test_kg_parity_gate(ray_session):
     from rayld.pipelines.kg import kg_parity_check
 
-    out = kg_parity_check(20, link_concurrency=2)
+    out = kg_parity_check(20)
     assert out.to_dict("records") == [
         {"missing": 0, "extra": 0, "parity_ok": 1}
     ]
@@ -4002,6 +4002,26 @@ def test_q7_volume_shipping(ray_session):
           for r in got.itertuples()}
     assert gm == {(a, b, int(y)): int(v)
                   for (a, b, y), v in want.items()}
+
+
+def test_q7_volume_shipping_schema_zero_rows(ray_session, tmp_path):
+    """Q7 keeps its declared 4-column schema when its result is empty: on
+    zero-row copies of the sf0.001 tables, and on sf0.001 itself, where no
+    lineitem in the date range ships between the two nations."""
+    import pyarrow.parquet as pq
+
+    from rayld.pipelines.relational import q7_volume_shipping
+
+    for f in Path(SF).glob("*.parquet"):
+        pq.write_table(pq.read_schema(f).empty_table(), tmp_path / f.name)
+    want = pa.schema([
+        ("supp_nation", pa.string()), ("cust_nation", pa.string()),
+        ("l_year", pa.int64()), ("revenue_c", pa.int64()),
+    ])
+    for sf in (str(tmp_path), SF):
+        ds = q7_volume_shipping(sf, num_partitions=4)
+        assert ds.count() == 0
+        assert ds.schema().base_schema == want, sf
 
 
 def test_q8_market_share(ray_session):
